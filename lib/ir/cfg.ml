@@ -12,9 +12,39 @@ let succs_of_term = function
 
 let succs (b : block) = succs_of_term b.term
 
+(* Every memo slot's reset, and the block list of the function version the
+   calling domain's slots were last filled for. *)
+let resets : (unit -> unit) list ref = ref []
+let version = Domain.DLS.new_key (fun () -> [])
+
+(** [memo f] caches [f]'s result for the last function it saw, keyed on the
+    physical identity of its [blocks] list.  IR values are immutable, so a
+    hit is always valid: any edit builds a new list and misses.  The slot
+    is per domain and holds the key and the value as one tuple, so threads
+    sharing a domain never see a key paired with another key's value.  The
+    first miss on a new function version empties every slot of the domain,
+    so the cache never keeps a dead version alive while passes build the
+    next one. *)
+let memo (f : func -> 'a) : func -> 'a =
+  let slot = Domain.DLS.new_key (fun () -> None) in
+  resets := (fun () -> Domain.DLS.set slot None) :: !resets;
+  fun fn ->
+    match Domain.DLS.get slot with
+    | Some (blocks, v) when blocks == fn.blocks -> v
+    | _ ->
+        if Domain.DLS.get version != fn.blocks then begin
+          List.iter (fun reset -> reset ()) !resets;
+          Domain.DLS.set version fn.blocks
+        end;
+        let v = f fn in
+        Domain.DLS.set slot (Some (fn.blocks, v));
+        v
+
+type preds = (int, int list) Hashtbl.t
+
 (** Predecessor table: block id -> list of predecessor block ids, in
     iteration order of [fn.blocks]. *)
-let preds (fn : func) : (int, int list) Hashtbl.t =
+let preds_table (fn : func) : (int, int list) Hashtbl.t =
   let tbl = Hashtbl.create (List.length fn.blocks) in
   List.iter (fun b -> Hashtbl.replace tbl b.bid []) fn.blocks;
   List.iter
@@ -29,22 +59,25 @@ let preds (fn : func) : (int, int list) Hashtbl.t =
   Hashtbl.iter (fun k l -> Hashtbl.replace tbl k (List.rev l)) tbl;
   tbl
 
+let preds : func -> preds = memo preds_table
+
 let preds_of tbl bid = try Hashtbl.find tbl bid with Not_found -> []
 
 (** Blocks reachable from the entry. *)
-let reachable (fn : func) : IntSet.t =
-  let btbl = block_tbl fn in
-  let seen = ref IntSet.empty in
-  let rec go bid =
-    if not (IntSet.mem bid !seen) then begin
-      seen := IntSet.add bid !seen;
-      match Hashtbl.find_opt btbl bid with
-      | Some b -> List.iter go (succs b)
-      | None -> ()
-    end
-  in
-  go (entry fn).bid;
-  !seen
+let reachable : func -> IntSet.t =
+  memo (fun fn ->
+      let btbl = block_tbl fn in
+      let seen = ref IntSet.empty in
+      let rec go bid =
+        if not (IntSet.mem bid !seen) then begin
+          seen := IntSet.add bid !seen;
+          match Hashtbl.find_opt btbl bid with
+          | Some b -> List.iter go (succs b)
+          | None -> ()
+        end
+      in
+      go (entry fn).bid;
+      !seen)
 
 (** Postorder of reachable blocks (entry last). *)
 let postorder (fn : func) : int list =

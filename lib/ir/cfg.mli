@@ -8,13 +8,28 @@ val succs_of_term : Ir.term -> int list
 
 val succs : Ir.block -> int list
 
-val preds : Ir.func -> (int, int list) Hashtbl.t
-(** Predecessor table: block id -> predecessors, in block order. *)
+val memo : (Ir.func -> 'a) -> Ir.func -> 'a
+(** [memo f] remembers [f]'s result for the last function seen on the
+    calling domain, keyed on the physical identity ([==]) of its [blocks]
+    list.  IR values are immutable, so no invalidation is needed; [f] must
+    depend on the blocks only.  All memoized analyses of a domain describe
+    one function version: the first miss on another version drops them. *)
 
-val preds_of : (int, int list) Hashtbl.t -> int -> int list
+type preds
+(** A read-only predecessor table, shared by every caller that asks about
+    the same blocks. *)
+
+val preds : Ir.func -> preds
+(** Predecessor table: block id -> predecessors, in block order.
+    Memoized with {!memo}. *)
+
+val preds_of : preds -> int -> int list
+
+val preds_table : Ir.func -> (int, int list) Hashtbl.t
+(** A fresh, private predecessor table that the caller may update. *)
 
 val reachable : Ir.func -> IntSet.t
-(** Blocks reachable from the entry. *)
+(** Blocks reachable from the entry.  Memoized with {!memo}. *)
 
 val postorder : Ir.func -> int list
 val rpo : Ir.func -> int list

@@ -13,7 +13,7 @@ type t = {
   tout : (int, int) Hashtbl.t;  (** … exit time: O(1) dominance queries *)
 }
 
-let compute (fn : Ir.func) : t =
+let compute_uncached (fn : Ir.func) : t =
   let order = Cfg.rpo fn in
   let n = List.length order in
   let index = Hashtbl.create n in
@@ -87,6 +87,10 @@ let compute (fn : Ir.func) : t =
         stack := rest
   done;
   { idom = idom_tbl; children; rpo_index = index; entry; tin; tout }
+
+let compute : Ir.func -> t = Cfg.memo compute_uncached
+
+let rpo_index t bid = Hashtbl.find_opt t.rpo_index bid
 
 let idom t bid = Hashtbl.find_opt t.idom bid
 

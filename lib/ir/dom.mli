@@ -2,16 +2,15 @@
 
 module IntSet = Cfg.IntSet
 
-type t = {
-  idom : (int, int) Hashtbl.t;        (** immediate dominator; entry absent *)
-  children : (int, int list) Hashtbl.t;
-  rpo_index : (int, int) Hashtbl.t;
-  entry : int;
-  tin : (int, int) Hashtbl.t;   (** Euler-tour entry time in the dom tree *)
-  tout : (int, int) Hashtbl.t;  (** … exit time: O(1) dominance queries *)
-}
+type t
+(** A dominator tree, read-only: one value is shared by every caller that
+    asks about the same blocks. *)
 
 val compute : Ir.func -> t
+(** Memoized with {!Cfg.memo}. *)
+
+val rpo_index : t -> int -> int option
+(** Position of a reachable block in reverse postorder. *)
 
 val idom : t -> int -> int option
 val children : t -> int -> int list

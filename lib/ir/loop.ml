@@ -20,7 +20,7 @@ let mem l bid = IntSet.mem bid l.blocks
 
 (** All natural loops of [fn], outermost first (by increasing block count is
     not guaranteed; order is by header RPO). *)
-let find (fn : Ir.func) : t list =
+let find_uncached (fn : Ir.func) : t list =
   let dom = Dom.compute fn in
   let preds = Cfg.preds fn in
   let btbl = Ir.block_tbl fn in
@@ -88,8 +88,10 @@ let find (fn : Ir.func) : t list =
         :: !loops)
     back;
   (* order by header RPO index for determinism *)
-  let idx bid = try Hashtbl.find dom.Dom.rpo_index bid with Not_found -> max_int in
+  let idx bid = Option.value (Dom.rpo_index dom bid) ~default:max_int in
   List.sort (fun a b -> compare (idx a.header) (idx b.header)) !loops
+
+let find : Ir.func -> t list = Cfg.memo find_uncached
 
 (** Loop-nesting depth of each block (0 = not in any loop). *)
 let depth_map (fn : Ir.func) : (int, int) Hashtbl.t =

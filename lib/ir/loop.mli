@@ -16,7 +16,8 @@ type t = {
 val mem : t -> int -> bool
 
 val find : Ir.func -> t list
-(** All natural loops, ordered by header RPO index. *)
+(** All natural loops, ordered by header RPO index.  Memoized with
+    {!Cfg.memo}. *)
 
 val depth_map : Ir.func -> (int, int) Hashtbl.t
 (** Loop-nesting depth of each block (0 = not in any loop). *)

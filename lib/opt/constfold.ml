@@ -216,7 +216,9 @@ let run_round (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
         })
       blocks
   in
-  ({ fn with blocks }, !changed)
+  (* an unchanged round hands back its input, so the memoized CFG analyses
+     (Cfg.memo) still hit for the passes that follow *)
+  if !changed then ({ fn with blocks }, true) else (fn, false)
 
 let run stats (fn : Ir.func) : Ir.func * bool =
   let rec go fn n any =

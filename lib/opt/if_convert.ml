@@ -38,6 +38,7 @@ let block_speculatable (b : Ir.block) =
     collapses to a single exit within budget. *)
 let find_region (fn : Ir.func) preds btbl budget (head : Ir.block) :
     region option =
+  let preds_of x = try Hashtbl.find preds x with Not_found -> [] in
   match head.Ir.term with
   | Ir.Cbr (_, t, e) when t <> e && t <> head.Ir.bid && e <> head.Ir.bid ->
       let in_region = ref (IntSet.singleton head.Ir.bid) in
@@ -56,7 +57,7 @@ let find_region (fn : Ir.func) preds btbl budget (head : Ir.block) :
                      && block_speculatable xb
                      && List.for_all
                           (fun p -> IntSet.mem p !in_region)
-                          (Cfg.preds_of preds x)
+                          (preds_of x)
                      (* no back edge to the head: the region must be a DAG
                         hanging off the branch, not a loop through it *)
                      && List.for_all (fun s -> s <> head.Ir.bid) (Cfg.succs xb)
@@ -235,16 +236,41 @@ let run (cm : Costmodel.t) (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
   let budget = cm.Costmodel.branch_cost in
   if budget <= 0 then (fn, false)
   else begin
+    (* private tables, built once and kept current across conversions: a
+       conversion only removes the region's body, rewrites the head and the
+       exit, and moves the exit's in-edges from the region to the head *)
+    let preds = Cfg.preds_table fn in
+    let btbl = Ir.block_tbl fn in
+    let reachable = ref (Cfg.reachable fn) in
+    let update fn' (r : region) =
+      let region =
+        List.fold_left
+          (fun s (b : Ir.block) -> IntSet.add b.Ir.bid s)
+          (IntSet.singleton r.head.Ir.bid) r.body
+      in
+      List.iter
+        (fun (b : Ir.block) ->
+          Hashtbl.remove preds b.Ir.bid;
+          Hashtbl.remove btbl b.Ir.bid;
+          reachable := IntSet.remove b.Ir.bid !reachable)
+        r.body;
+      let outside =
+        List.filter
+          (fun p -> not (IntSet.mem p region))
+          (Hashtbl.find preds r.exit)
+      in
+      Hashtbl.replace preds r.exit (r.head.Ir.bid :: outside);
+      List.iter
+        (fun bid -> Hashtbl.replace btbl bid (Ir.find_block fn' bid))
+        [ r.head.Ir.bid; r.exit ]
+    in
     let rec go fn n any =
       if n = 0 then (fn, any)
       else begin
-        let preds = Cfg.preds fn in
-        let btbl = Ir.block_tbl fn in
-        let reachable = Cfg.reachable fn in
         let found =
           List.find_map
             (fun (b : Ir.block) ->
-              if IntSet.mem b.Ir.bid reachable then
+              if IntSet.mem b.Ir.bid !reachable then
                 find_region fn preds btbl budget b
               else None)
             fn.Ir.blocks
@@ -253,7 +279,9 @@ let run (cm : Costmodel.t) (stats : Stats.t) (fn : Ir.func) : Ir.func * bool =
         | Some r ->
             stats.Stats.branches_converted <-
               stats.Stats.branches_converted + count_branches r;
-            go (convert fn r) (n - 1) true
+            let fn' = convert fn r in
+            update fn' r;
+            go fn' (n - 1) true
         | None -> (fn, any)
       end
     in

@@ -243,6 +243,63 @@ let test_loop_depths () =
 let test_no_loops_in_diamond () =
   check int "diamond has no loops" 0 (List.length (Loop.find (build_diamond ())))
 
+(* ------------- memoized analyses ------------- *)
+
+(* entry -> a -> b -> c (ret 0), plus d (ret 1) that nothing reaches yet *)
+let build_chain () =
+  let b = Builder.create ~name:"chain" ~params:[ I.I32 ] ~ret:I.I32 in
+  let p = List.hd (Builder.param_regs b) in
+  let la = Builder.new_block b and lb = Builder.new_block b in
+  let lc = Builder.new_block b and ld = Builder.new_block b in
+  Builder.term b (I.Br la);
+  Builder.switch_to b la;
+  Builder.term b (I.Br lb);
+  Builder.switch_to b lb;
+  let c = Builder.cmp b I.Sgt I.I32 (I.Reg p) (I.imm I.I32 0L) in
+  Builder.term b (I.Br lc);
+  Builder.switch_to b lc;
+  Builder.term b (I.Ret (Some (I.imm I.I32 0L)));
+  Builder.switch_to b ld;
+  Builder.term b (I.Ret (Some (I.imm I.I32 1L)));
+  (Builder.finish b, la, lb, lc, ld, c)
+
+(* the analyses are memoized on the identity of the block list: asking
+   twice gives the same value, and an edited function is never answered
+   from the cache *)
+let test_memo_contract () =
+  let (fn, la, lb, lc, ld, c) = build_chain () in
+  let dom = Dom.compute fn in
+  check bool "Dom.compute is shared" true (dom == Dom.compute fn);
+  check bool "Cfg.preds is shared" true (Cfg.preds fn == Cfg.preds fn);
+  check int "no loops" 0 (List.length (Loop.find fn));
+  check bool "b dominates c" true (Dom.dominates dom lb lc);
+  check bool "d unreachable" false (Dom.dominates dom la ld);
+  (* b -> a is a back edge; c becomes unreachable and d reachable *)
+  let blk = Ir.find_block fn lb in
+  let fn' = Ir.update_block fn { blk with I.term = I.Cbr (c, la, ld) } in
+  let dom' = Dom.compute fn' in
+  (match Loop.find fn' with
+  | [ l ] ->
+      check int "loop header" la l.Loop.header;
+      check (Alcotest.list int) "loop latches" [ lb ] l.Loop.latches
+  | ls -> Alcotest.failf "expected one loop, found %d" (List.length ls));
+  check (Alcotest.list int) "preds of a gain b"
+    [ (I.entry fn).I.bid; lb ]
+    (Cfg.preds_of (Cfg.preds fn') la);
+  check (Alcotest.list int) "preds of d" [ lb ] (Cfg.preds_of (Cfg.preds fn') ld);
+  check bool "b no longer dominates c" false (Dom.dominates dom' lb lc);
+  check bool "b dominates d" true (Dom.dominates dom' lb ld);
+  check bool "c unreachable" false (Cfg.IntSet.mem lc (Cfg.reachable fn'));
+  (* alternating between two functions (A, B, A) keeps each one's answer *)
+  List.iter
+    (fun (name, f, loops, a_dom_c) ->
+      check int (name ^ ": loops") loops (List.length (Loop.find f));
+      check bool (name ^ ": a dominates c") a_dom_c
+        (Dom.dominates (Dom.compute f) la lc);
+      check bool (name ^ ": d reachable") (f == fn')
+        (Cfg.IntSet.mem ld (Cfg.reachable f)))
+    [ ("A", fn, 0, true); ("B", fn', 1, false); ("A", fn, 0, true) ]
+
 (* ------------- verifier ------------- *)
 
 let expect_invalid ?ssa ?memform fn =
@@ -411,6 +468,11 @@ let () =
           Alcotest.test_case "detection" `Quick test_loop_detection;
           Alcotest.test_case "depths" `Quick test_loop_depths;
           Alcotest.test_case "diamond loop-free" `Quick test_no_loops_in_diamond;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "analyses follow the function version" `Quick
+            test_memo_contract;
         ] );
       ( "verifier",
         [

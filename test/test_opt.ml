@@ -297,6 +297,111 @@ let test_if_convert_ir_load_arm_blocked () =
   check bool "not converted" false changed;
   check bool "branch survives" true (count_branches fn' >= 1)
 
+(** Three back-to-back conversions separated by stores, then the DAG
+    [r = (y == 'a') || ((y > 'm') && (y < 'q'))] whose head [h] already
+    branches to the merge [e].  The inner head [i] sits before [h] in block
+    order, so its region converts first and [e], now fed by [h] and [i], is
+    absorbed by [h]'s region only if [e]'s predecessors were kept current. *)
+let build_chained_regions () : I.func =
+  let b = Builder.create ~name:"main" ~params:[] ~ret:I.I32 in
+  let slot = Builder.entry_alloca b I.I32 1 in
+  let x = Option.get (Builder.call b I.I32 "__input" [ I.imm I.I32 0L ]) in
+  let y = Option.get (Builder.call b I.I32 "__input" [ I.imm I.I32 1L ]) in
+  let i = Builder.new_block b and p = Builder.new_block b in
+  let q = Builder.new_block b and j = Builder.new_block b in
+  let a1 = Builder.new_block b and m1 = Builder.new_block b in
+  let a2 = Builder.new_block b and b2 = Builder.new_block b in
+  let m2 = Builder.new_block b and a3 = Builder.new_block b in
+  let b3 = Builder.new_block b and h = Builder.new_block b in
+  let e = Builder.new_block b and f = Builder.new_block b in
+  let entry = Builder.current b in
+  let imm v = I.imm I.I32 v in
+  (* region 1: a triangle *)
+  Builder.term b (I.Cbr (Builder.cmp b I.Sgt I.I32 x (imm 10L), a1, m1));
+  Builder.switch_to b a1;
+  let v1 = Builder.bin b I.Add I.I32 x (imm 1L) in
+  Builder.term b (I.Br m1);
+  (* region 2: a diamond after a store *)
+  Builder.switch_to b m1;
+  let p1 = Builder.fresh b in
+  Builder.add_inst b (I.Phi (p1, I.I32, [ (a1, v1); (entry, x) ]));
+  Builder.store b I.I32 (I.Reg p1) slot;
+  Builder.term b (I.Cbr (Builder.cmp b I.Slt I.I32 (I.Reg p1) (imm 50L), a2, b2));
+  Builder.switch_to b a2;
+  let v2 = Builder.bin b I.Mul I.I32 (I.Reg p1) (imm 3L) in
+  Builder.term b (I.Br m2);
+  Builder.switch_to b b2;
+  let w2 = Builder.bin b I.Sub I.I32 (I.Reg p1) (imm 7L) in
+  Builder.term b (I.Br m2);
+  (* region 3: another diamond *)
+  Builder.switch_to b m2;
+  let p2 = Builder.fresh b in
+  Builder.add_inst b (I.Phi (p2, I.I32, [ (a2, v2); (b2, w2) ]));
+  Builder.store b I.I32 (I.Reg p2) slot;
+  Builder.term b (I.Cbr (Builder.cmp b I.Sgt I.I32 (I.Reg p2) (imm 100L), a3, b3));
+  Builder.switch_to b a3;
+  let v3 = Builder.bin b I.Sub I.I32 (I.Reg p2) (imm 100L) in
+  Builder.term b (I.Br h);
+  Builder.switch_to b b3;
+  let w3 = Builder.bin b I.Add I.I32 (I.Reg p2) y in
+  Builder.term b (I.Br h);
+  (* the DAG *)
+  Builder.switch_to b h;
+  let p3 = Builder.fresh b in
+  Builder.add_inst b (I.Phi (p3, I.I32, [ (a3, v3); (b3, w3) ]));
+  Builder.store b I.I32 (I.Reg p3) slot;
+  Builder.term b (I.Cbr (Builder.cmp b I.Eq I.I32 y (imm 97L), e, i));
+  Builder.switch_to b i;
+  Builder.term b (I.Cbr (Builder.cmp b I.Sgt I.I32 y (imm 109L), p, q));
+  Builder.switch_to b p;
+  let lt = Builder.cmp b I.Slt I.I32 y (imm 113L) in
+  Builder.term b (I.Br j);
+  Builder.switch_to b q;
+  Builder.term b (I.Br j);
+  Builder.switch_to b j;
+  let pj = Builder.fresh b in
+  Builder.add_inst b (I.Phi (pj, I.I1, [ (p, lt); (q, I.imm_bool false) ]));
+  Builder.term b (I.Br e);
+  Builder.switch_to b e;
+  let r = Builder.fresh b in
+  Builder.add_inst b
+    (I.Phi (r, I.I1, [ (h, I.imm_bool true); (j, I.Reg pj) ]));
+  Builder.term b (I.Br f);
+  Builder.switch_to b f;
+  let z = Builder.cast b I.Zext I.I32 (I.Reg r) I.I1 in
+  let s = Builder.load b I.I32 slot in
+  Builder.term b (I.Ret (Some (Builder.bin b I.Add I.I32 s z)));
+  Builder.finish b
+
+let test_if_convert_incremental_tables () =
+  let fn = build_chained_regions () in
+  Overify_ir.Verify.check_exn fn;
+  let stats = Stats.create () in
+  let (fn', changed) = If_convert.run Costmodel.overify stats fn in
+  (match Overify_ir.Verify.check fn' with
+  | Ok () -> ()
+  | Error errs -> Alcotest.fail (String.concat "\n" errs));
+  check bool "converted" true changed;
+  check int "no conditional branches left" 0 (count_branches fn');
+  check int "every branch counted" 5 stats.Stats.branches_converted;
+  (* entry, the two store blocks, the DAG head and the return block *)
+  check int "the DAG collapsed into its head" 5 (I.num_blocks fn');
+  let run fn input =
+    let r = Interp.run { I.globals = []; funcs = [ fn ] } ~input in
+    (r.Interp.exit_code, r.Interp.trap)
+  in
+  let rng = Random.State.make [| 12 |] in
+  let inputs =
+    [ "\000a"; "\011m"; "\011n"; "\200q"; "\060p"; "\255z" ]
+    @ List.init 200 (fun _ ->
+          String.init 2 (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  List.iter
+    (fun input ->
+      if run fn input <> run fn' input then
+        Alcotest.failf "converted function disagrees on %S" input)
+    inputs
+
 (* ------------- loop unswitching ------------- *)
 
 let test_unswitch_fires_and_preserves () =
@@ -776,6 +881,51 @@ let test_stats_populated_by_pipeline () =
   check bool "promoted allocas" true (s.Stats.allocas_promoted > 0);
   check bool "added annotations" true (s.Stats.annotations_added > 0)
 
+(* the memoized CFG analyses keep one slot per domain; compiling the same
+   jobs in another order, or split over two domains, must not let one
+   function's cached analysis leak into another's compilation *)
+let test_compile_order_independent () =
+  let jobs =
+    List.concat_map
+      (fun (p : Programs.t) -> List.map (fun level -> (p, level)) Costmodel.all)
+      Programs.programs
+  in
+  let compile ((p : Programs.t), level) =
+    let r =
+      Pipeline.optimize level
+        (Frontend.compile_sources
+           [ Vclib.for_cost_model level; p.Programs.source ])
+    in
+    (r.Pipeline.modul, stats_fields r.Pipeline.stats)
+  in
+  let forward = List.map compile jobs in
+  (* rev_map compiles the last job first and returns the results in job
+     order *)
+  let reverse = List.rev_map compile (List.rev jobs) in
+  let split =
+    let half k = List.filteri (fun i _ -> i mod 2 = k) jobs in
+    let d = Domain.spawn (fun () -> List.map compile (half 1)) in
+    let evens = List.map compile (half 0) in
+    let odds = Domain.join d in
+    let rec merge es os =
+      match (es, os) with
+      | (e :: es, o :: os) -> e :: o :: merge es os
+      | (es, []) -> es
+      | ([], os) -> os
+    in
+    merge evens odds
+  in
+  let check_same what other =
+    List.iter2
+      (fun (((p : Programs.t), level), f) o ->
+        if f <> o then
+          Alcotest.failf "%s at %s: %s differs" p.Programs.name
+            level.Costmodel.name what)
+      (List.combine jobs forward) other
+  in
+  check_same "reverse order" reverse;
+  check_same "two-domain compile" split
+
 let () =
   Alcotest.run "opt"
     [
@@ -810,6 +960,8 @@ let () =
             test_if_convert_ir_safe_arm_converts;
           Alcotest.test_case "IR: division arm blocked" `Quick
             test_if_convert_ir_division_arm_blocked;
+          Alcotest.test_case "IR: chained regions in one application" `Quick
+            test_if_convert_incremental_tables;
           Alcotest.test_case "IR: load arm blocked" `Quick
             test_if_convert_ir_load_arm_blocked;
         ] );
@@ -863,6 +1015,8 @@ let () =
           Alcotest.test_case "code size sanity" `Quick test_code_growth_direction;
           Alcotest.test_case "IR verifies over corpus at all levels" `Slow
             test_levels_verify_over_corpus;
+          Alcotest.test_case "compile order and domains do not matter" `Slow
+            test_compile_order_independent;
         ] );
       ( "stats",
         [
