@@ -289,7 +289,7 @@ let run_solve args =
             end;
             let hits =
               on.E.cache_hits + on.E.hits_canon + on.E.hits_subset
-              + on.E.hits_superset + on.E.hits_store
+              + on.E.hits_store
             in
             (* in single-program mode (the CI smoke) zero hits is a hard
                failure; over the full corpus it is reported but legal —
@@ -312,7 +312,7 @@ let run_solve args =
   in
   let rows =
     [ "program"; "level"; "queries"; "components"; "solves off"; "solves on";
-      "saved"; "exact"; "canon"; "subset"; "superset"; "agree" ]
+      "saved"; "exact"; "canon"; "subset"; "agree" ]
     :: List.map
          (fun (name, lvl, (off : E.result), (on : E.result), agree) ->
            [
@@ -325,7 +325,6 @@ let run_solve args =
              string_of_int on.E.hits_exact;
              string_of_int on.E.hits_canon;
              string_of_int on.E.hits_subset;
-             string_of_int on.E.hits_superset;
              string_of_bool agree;
            ])
          measurements
@@ -341,7 +340,7 @@ let run_solve args =
       off.E.component_solves - on.E.component_solves)
   and hits = total (fun _ (on : E.result) ->
       on.E.cache_hits + on.E.hits_canon + on.E.hits_subset
-      + on.E.hits_superset + on.E.hits_store)
+      + on.E.hits_store)
   in
   Printf.printf "total: %d raw solves saved, %d layer hits\n" saved hits;
   if hits = 0 then begin
@@ -390,11 +389,11 @@ let run_solve args =
       "  {\"program\": %S, \"level\": %S, \"queries\": %d, \"components\": \
        %d, \"component_solves_off\": %d, \"component_solves_on\": %d, \
        \"cache_hits\": %d, \"hits_exact\": %d, \"hits_canon\": %d, \
-       \"hits_subset\": %d, \"hits_superset\": %d, \"hits_store\": %d, \
+       \"hits_subset\": %d, \"hits_store\": %d, \
        \"solver_ms_off\": %.3f, \"solver_ms_on\": %.3f, \"agree\": %b}"
       name lvl on.E.queries on.E.components off.E.component_solves
       on.E.component_solves on.E.cache_hits on.E.hits_exact on.E.hits_canon
-      on.E.hits_subset on.E.hits_superset on.E.hits_store
+      on.E.hits_subset on.E.hits_store
       (off.E.solver_time *. 1000.) (on.E.solver_time *. 1000.) agree
   in
   let store_json =
@@ -684,13 +683,11 @@ let run_serve args =
     "requests=%d ok=%d errors=%d transport_failures=%d\n"
     s.H.Serve.s_requests s.H.Serve.s_ok s.H.Serve.s_errors
     s.H.Serve.s_transport_failures;
+  let counter = H.Serve.counter s.H.Serve.s_metrics_json in
   Printf.printf
     "executed=%d dedup_hits=%d (inflight=%d recent=%d) malformed=%d\n"
-    (H.Serve.stat s "executed")
-    (H.Serve.stat s "dedup_hits")
-    (H.Serve.stat s "dedup_inflight")
-    (H.Serve.stat s "dedup_recent")
-    (H.Serve.stat s "malformed");
+    (counter "executed") (counter "dedup_hits") (counter "dedup_inflight")
+    (counter "dedup_recent") (counter "malformed");
   Printf.printf
     "throughput=%.1f req/s latency p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n"
     s.H.Serve.s_throughput_rps s.H.Serve.s_p50_ms s.H.Serve.s_p95_ms

@@ -330,27 +330,7 @@ let verify_cmd =
       r.O.Engine.blocks_covered r.O.Engine.blocks_total r.O.Engine.jobs
       r.O.Engine.complete
       (if r.O.Engine.resumed then " resumed=true" else "");
-    Printf.printf
-      "solver: components=%d solves=%d hits: exact=%d canon=%d subset=%d \
-       superset=%d store=%d\n"
-      r.O.Engine.components r.O.Engine.component_solves r.O.Engine.hits_exact
-      r.O.Engine.hits_canon r.O.Engine.hits_subset r.O.Engine.hits_superset
-      r.O.Engine.hits_store;
-    if
-      r.O.Engine.summary_instantiated + r.O.Engine.summary_opaque
-      + r.O.Engine.summary_computed + r.O.Engine.summary_cached > 0
-    then
-      Printf.printf
-        "summaries: instantiated=%d opaque=%d computed=%d cached=%d\n"
-        r.O.Engine.summary_instantiated r.O.Engine.summary_opaque
-        r.O.Engine.summary_computed r.O.Engine.summary_cached;
-    List.iter
-      (fun (d : O.Engine.degradation) ->
-        Printf.printf "degraded: %s paths=%d%s\n" d.O.Engine.d_kind
-          d.O.Engine.d_paths
-          (if d.O.Engine.d_where = "" then ""
-           else " (" ^ d.O.Engine.d_where ^ ")"))
-      r.O.Engine.degradations;
+    O.Engine.print_summary stdout r;
     (let fired =
        List.filter (fun (_, n) -> n > 0) r.O.Engine.faults_injected
      in
@@ -778,8 +758,7 @@ let client_cmd =
       value & opt string "verify"
       & info [ "kind"; "k" ] ~docv:"KIND"
           ~doc:
-            "Request kind: verify, compile, tv, stats, metrics or \
-             shutdown.")
+            "Request kind: verify, compile, tv, metrics or shutdown.")
   in
   let program_arg =
     Arg.(
@@ -822,18 +801,14 @@ let client_cmd =
       value & flag
       & info [ "shutdown" ] ~doc:"Ask the daemon to shut down cleanly.")
   in
-  let stats =
-    Arg.(
-      value & flag & info [ "stats" ] ~doc:"Fetch the daemon's counters.")
-  in
   let metrics =
     Arg.(
       value & flag
       & info [ "metrics" ]
           ~doc:
             "Fetch the daemon's full telemetry registry (per-kind latency \
-             histograms, queue depth, dedup/store/summary hit counters, \
-             uptime, degradation counts) — supersedes $(b,--stats).")
+             histograms, queue depth, in-flight jobs, dedup/store/summary \
+             hit counters, uptime, degradation counts).")
   in
   let prometheus =
     Arg.(
@@ -903,7 +878,7 @@ let client_cmd =
              $(docv)ms × 2^k, jittered ×[0.5,1.5), capped at 10s.")
   in
   let run socket level kind program file size timeout jobs summaries
-      deterministic faults shutdown stats metrics prometheus watch interval
+      deterministic faults shutdown metrics prometheus watch interval
       count garbage result_only retries backoff =
     if socket = "" then begin
       Printf.eprintf "client: --socket is required\n";
@@ -971,7 +946,6 @@ let client_cmd =
       else begin
         let kind =
           if shutdown then O.Serve_protocol.Shutdown
-          else if stats then O.Serve_protocol.Stats
           else if metrics || prometheus then O.Serve_protocol.Metrics
           else
             match O.Serve_protocol.kind_of_name kind with
@@ -1051,7 +1025,7 @@ let client_cmd =
     Term.(
       const run $ socket_arg $ level $ kind_arg $ program_arg $ file_arg
       $ size $ timeout $ jobs $ summaries_arg $ deterministic $ faults_arg
-      $ shutdown $ stats $ metrics $ prometheus $ watch $ interval $ count
+      $ shutdown $ metrics $ prometheus $ watch $ interval $ count
       $ garbage $ result_only $ retries $ backoff)
 
 (* ---- postmortem subcommand ---- *)

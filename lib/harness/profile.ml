@@ -202,27 +202,7 @@ let print ?(top = 8) ?(out = stdout) t =
     (Report.ms r.Engine.solver_time)
     (Report.ms r.Engine.time) (Report.ms t.t_compile) r.Engine.complete
     r.Engine.jobs;
-  Printf.fprintf out
-    "solver: components=%d solves=%d hits: exact=%d canon=%d subset=%d \
-     superset=%d store=%d\n\n"
-    r.Engine.components r.Engine.component_solves r.Engine.hits_exact
-    r.Engine.hits_canon r.Engine.hits_subset r.Engine.hits_superset
-    r.Engine.hits_store;
-  if
-    r.Engine.summary_instantiated + r.Engine.summary_opaque
-    + r.Engine.summary_computed + r.Engine.summary_cached
-    > 0
-  then
-    Printf.fprintf out
-      "summaries: instantiated=%d opaque=%d computed=%d cached=%d\n"
-      r.Engine.summary_instantiated r.Engine.summary_opaque
-      r.Engine.summary_computed r.Engine.summary_cached;
-  List.iter
-    (fun (d : Engine.degradation) ->
-      Printf.fprintf out "degraded: %s paths=%d%s\n" d.Engine.d_kind
-        d.Engine.d_paths
-        (if d.Engine.d_where = "" then "" else " (" ^ d.Engine.d_where ^ ")"))
-    r.Engine.degradations;
+  Engine.print_summary ~gap:true out r;
   let with_summaries =
     List.exists (fun f -> f.fr_sum_hits + f.fr_sum_opaque > 0) t.funcs
   in
@@ -470,7 +450,7 @@ let to_json ?(times = true) (t : t) : string =
   "program": "%s",
   "level": "%s",
   "input_size": %d,
-  "totals": {"paths": %d, "instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "components": %d, "component_solves": %d, "hits_exact": %d, "hits_canon": %d, "hits_subset": %d, "hits_superset": %d, "hits_store": %d, "summary_instantiated": %d, "summary_opaque": %d, "summary_computed": %d, "summary_cached": %d, "solver_time_ms": %s, "time_ms": %s, "compile_ms": %s, "complete": %b, "jobs": %d},
+  "totals": {"paths": %d, "instructions": %d, "forks": %d, "queries": %d, "cache_hits": %d, "components": %d, "component_solves": %d, "hits_exact": %d, "hits_canon": %d, "hits_subset": %d, "hits_store": %d, "summary_instantiated": %d, "summary_opaque": %d, "summary_computed": %d, "summary_cached": %d, "solver_time_ms": %s, "time_ms": %s, "compile_ms": %s, "complete": %b, "jobs": %d},
   "degradations": [%s],
   "functions": [
 %s
@@ -482,8 +462,8 @@ let to_json ?(times = true) (t : t) : string =
     (json_escape t.program) (json_escape t.level) t.input_size r.Engine.paths
     r.Engine.instructions r.Engine.forks r.Engine.queries r.Engine.cache_hits
     r.Engine.components r.Engine.component_solves r.Engine.hits_exact
-    r.Engine.hits_canon r.Engine.hits_subset r.Engine.hits_superset
-    r.Engine.hits_store r.Engine.summary_instantiated r.Engine.summary_opaque
+    r.Engine.hits_canon r.Engine.hits_subset r.Engine.hits_store
+    r.Engine.summary_instantiated r.Engine.summary_opaque
     r.Engine.summary_computed r.Engine.summary_cached
     (ms r.Engine.solver_time) (ms r.Engine.time) (ms t.t_compile)
     r.Engine.complete r.Engine.jobs

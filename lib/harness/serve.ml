@@ -116,7 +116,8 @@ type summary = {
   s_p95_ms : float;
   s_p99_ms : float;
   s_max_ms : float;
-  s_stats_json : string;       (** the daemon's own counters after the replay *)
+  s_metrics_json : string;     (** the daemon's [metrics] document after the
+                                   replay *)
   s_replies : reply list;      (** trace order *)
 }
 
@@ -125,9 +126,39 @@ let percentile sorted q =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
 
+(** One request over a fresh connection; [Error] is a transport failure. *)
+let rpc_once ~socket rq =
+  match Client.connect socket with
+  | exception _ -> Error ()
+  | conn ->
+      let r = Client.rpc conn rq in
+      Client.close conn;
+      (match r with Ok json -> Ok json | Error _ -> Error ())
+
+(** The daemon's [metrics] document (["{}"] if it cannot be reached). *)
+let fetch_metrics ~socket =
+  match
+    rpc_once ~socket
+      { Protocol.default_request with Protocol.rq_kind = Protocol.Metrics }
+  with
+  | Ok json ->
+      Option.value ~default:"{}" (Protocol.extract_field json "result")
+  | Error () -> "{}"
+
+(** An integer counter of a daemon [metrics] document.  A missing key is
+    an error, not 0, so a counter the daemon stops reporting fails loudly
+    instead of reading as idle. *)
+let counter metrics name =
+  match Result.to_option (Json.parse metrics) with
+  | Some j -> (
+      match Option.bind (Json.mem j name) Json.int_ with
+      | Some v -> v
+      | None -> failwith ("daemon metrics: no integer counter " ^ name))
+  | None -> failwith ("daemon metrics: unparseable document for " ^ name)
+
 (** Replay [trace] over [clients] concurrent connections (entry [i] goes
     to connection [i mod clients]); returns replies in trace order plus
-    the daemon's post-replay stats. *)
+    the daemon's post-replay metrics. *)
 let replay ~socket ?(clients = 4) (trace : entry list) : summary =
   let entries = Array.of_list trace in
   let n = Array.length entries in
@@ -185,24 +216,7 @@ let replay ~socket ?(clients = 4) (trace : entry list) : summary =
   in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
-  let stats_json =
-    match Client.connect socket with
-    | exception _ -> "{}"
-    | conn ->
-        let r =
-          match
-            Client.rpc conn
-              { Protocol.default_request with Protocol.rq_kind = Protocol.Stats }
-          with
-          | Ok json -> (
-              match Protocol.extract_field json "result" with
-              | Some v -> v
-              | None -> "{}")
-          | Error _ -> "{}"
-        in
-        Client.close conn;
-        r
-  in
+  let metrics_json = fetch_metrics ~socket in
   let replies =
     Array.to_list replies
     |> List.map (function
@@ -230,18 +244,9 @@ let replay ~socket ?(clients = 4) (trace : entry list) : summary =
     s_p95_ms = percentile lat 0.95;
     s_p99_ms = percentile lat 0.99;
     s_max_ms = (if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1));
-    s_stats_json = stats_json;
+    s_metrics_json = metrics_json;
     s_replies = replies;
   }
-
-(** Pull an integer counter out of the daemon-stats document. *)
-let stat summary name =
-  match Json.parse summary.s_stats_json with
-  | Ok j -> (
-      match Option.bind (Json.mem j name) Json.int_ with
-      | Some v -> v
-      | None -> 0)
-  | Error _ -> 0
 
 let summary_to_json ?(label = "serve") s =
   Printf.sprintf
@@ -251,7 +256,7 @@ let summary_to_json ?(label = "serve") s =
      \"max\": %.2f}, \"daemon\": %s}"
     (Json.escape label) s.s_requests s.s_ok s.s_errors s.s_transport_failures
     s.s_wall_s s.s_throughput_rps s.s_p50_ms s.s_p95_ms s.s_p99_ms s.s_max_ms
-    (if s.s_stats_json = "" then "{}" else s.s_stats_json)
+    s.s_metrics_json
 
 (** Start an in-process daemon, replay a synthetic trace, stop it.
     Returns the summary and whether the run was healthy: zero transport
@@ -267,8 +272,9 @@ let run ?(n = 48) ?(clients = 4) ?seed () : summary * bool =
         s.s_transport_failures = 0
         && s.s_ok + s.s_errors = s.s_requests
         && s.s_errors > 0 (* the malformed entries must be *answered* *)
-        && stat s "dedup_hits" > 0
-        && stat s "executed" <= stat s "requests"
+        && counter s.s_metrics_json "dedup_hits" > 0
+        && counter s.s_metrics_json "executed"
+           <= counter s.s_metrics_json "requests"
       in
       (s, healthy))
 
@@ -291,7 +297,8 @@ type overload = {
   o_watchdog_reason : bool;    (** the wedged job's answer names the watchdog *)
   o_slowloris_answered : bool; (** mid-frame staller got [bad_frame:timeout] *)
   o_idle_reaped : bool;        (** quiet connection closed with no bytes *)
-  o_stats_json : string;       (** daemon counters after the schedule *)
+  o_metrics_json : string;     (** the daemon's [metrics] document after
+                                   the schedule *)
 }
 
 let envelope_error json =
@@ -320,34 +327,11 @@ let retry_hint json =
         (fun v -> int_of_string_opt (String.trim v))
   | _ -> None
 
-(** One request over a fresh connection; [Error] is a transport failure. *)
-let rpc_once ~socket rq =
-  match Client.connect socket with
-  | exception _ -> Error ()
-  | conn ->
-      let r = Client.rpc conn rq in
-      Client.close conn;
-      (match r with Ok json -> Ok json | Error _ -> Error ())
-
-let fetch_stats ~socket =
-  match
-    rpc_once ~socket
-      { Protocol.default_request with Protocol.rq_kind = Protocol.Stats }
-  with
-  | Ok json ->
-      Option.value ~default:"{}" (Protocol.extract_field json "result")
-  | Error () -> "{}"
-
-let statj json name =
-  match Json.parse json with
-  | Ok j -> Option.value ~default:0 (Option.bind (Json.mem j name) Json.int_)
-  | Error _ -> 0
-
-(** Poll the daemon's stats until [p] holds (or ~5 s passed). *)
+(** Poll the daemon's metrics until [p] holds (or ~5 s passed). *)
 let wait_for ~socket p =
   let rec go tries =
     if tries = 0 then false
-    else if p (fetch_stats ~socket) then true
+    else if p (fetch_metrics ~socket) then true
     else begin
       Thread.delay 0.01;
       go (tries - 1)
@@ -442,8 +426,8 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
       in
       let running =
         wait_for ~socket (fun s ->
-            statj s "inflight" >= 1 && statj s "queue_depth" = 0
-            && statj s "executed" = 0)
+            counter s "inflight" >= 1 && counter s "queue_depth" = 0
+            && counter s "executed" = 0)
       in
       (* 2. fill the queue *)
       let filler = ref (Error ()) in
@@ -453,7 +437,7 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
             filler := rpc_once ~socket (verify_rq ~id:2 ~timeout:30.0 ()))
           ()
       in
-      let queued = wait_for ~socket (fun s -> statj s "queue_depth" >= 1) in
+      let queued = wait_for ~socket (fun s -> counter s "queue_depth" >= 1) in
       (* 3. flood: every probe must shed *)
       for i = 0 to probes - 1 do
         classify (rpc_once ~socket (compile_rq ~id:(10 + i) ~epsilon:i))
@@ -479,7 +463,7 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
         let r = rpc_once ~socket (compile_rq ~id:(100 + i) ~epsilon:(100 + i)) in
         classify ~lat:((Unix.gettimeofday () -. t0) *. 1000.0) r
       done;
-      let stats = fetch_stats ~socket in
+      let stats = fetch_metrics ~socket in
       (* 6. slowloris + idle, against a short-fuse daemon *)
       let d2 = Serve.start ~idle_timeout:0.25 ~frame_timeout:0.25 () in
       let s2 = Serve.socket_path d2 in
@@ -514,7 +498,7 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
             Client.close conn;
             r
       in
-      let stats2 = fetch_stats ~socket:s2 in
+      let stats2 = fetch_metrics ~socket:s2 in
       Serve.stop d2;
       let requests = probes + accepted + 2 in
       let lat = Array.of_list !lats in
@@ -532,7 +516,7 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
           o_watchdog_reason = watchdog_reason;
           o_slowloris_answered = slowloris_answered;
           o_idle_reaped = idle_reaped;
-          o_stats_json = stats;
+          o_metrics_json = stats;
         }
       in
       let healthy =
@@ -542,13 +526,13 @@ let run_overload ?(probes = 8) ?(accepted = 12) ?(occupier_timeout = 2.0)
            = o.o_requests
         && o.o_ok = accepted + 1 (* the filler ran after recovery *)
         && o.o_deadline = 1 (* the wedged occupier *)
-        && o.o_overloaded = statj stats "requests_shed"
+        && o.o_overloaded = counter stats "requests_shed"
         && o.o_hint_ms_min >= 25
-        && statj stats "watchdog_fired" = 1
-        && statj stats "cancelled" >= 1
-        && statj stats "deadline_exceeded" >= 1
+        && counter stats "watchdog_fired" = 1
+        && counter stats "cancelled" >= 1
+        && counter stats "deadline_exceeded" >= 1
         && watchdog_reason && slowloris_answered && idle_reaped
-        && statj stats2 "idle_reaped" >= 1
+        && counter stats2 "idle_reaped" >= 1
       in
       (o, healthy))
 
@@ -572,4 +556,4 @@ let overload_to_json ?(label = "overload") (o : overload) =
     (float_of_int o.o_overloaded /. float_of_int (max 1 o.o_requests))
     o.o_hint_ms_min (pct 0.50) (pct 0.95) (pct 0.99) o.o_watchdog_reason
     o.o_slowloris_answered o.o_idle_reaped
-    (if o.o_stats_json = "" then "{}" else o.o_stats_json)
+    o.o_metrics_json

@@ -1,23 +1,18 @@
-(** Counterexample cache: UNSAT-subset index + stored-model screening.
-    See cexcache.mli for the soundness/determinism contracts. *)
+(** Counterexample cache: the UNSAT-subset index.  See cexcache.mli for
+    the soundness contract. *)
 
 let max_unsat_sets = 256
-let max_models = 32
 
 type t = {
   mutable unsat_sets : int array list;  (* sorted term-id arrays, newest first *)
   mutable n_unsat : int;
-  mutable models : (int, int64) Hashtbl.t list;  (* newest first *)
-  mutable n_models : int;
 }
 
-let create () = { unsat_sets = []; n_unsat = 0; models = []; n_models = 0 }
+let create () = { unsat_sets = []; n_unsat = 0 }
 
 let clear t =
   t.unsat_sets <- [];
-  t.n_unsat <- 0;
-  t.models <- [];
-  t.n_models <- 0
+  t.n_unsat <- 0
 
 let rec take n = function
   | x :: rest when n > 0 -> x :: take (n - 1) rest
@@ -47,19 +42,3 @@ let subset (small : int array) (big : int array) : bool =
   end
 
 let implies_unsat t ids = List.exists (fun s -> subset s ids) t.unsat_sets
-
-let note_model t model =
-  let tbl = Hashtbl.create (List.length model * 2) in
-  List.iter (fun (id, v) -> Hashtbl.replace tbl id v) model;
-  t.models <- tbl :: t.models;
-  if t.n_models >= max_models then t.models <- take max_models t.models
-  else t.n_models <- t.n_models + 1
-
-let screen t assertions =
-  List.exists
-    (fun tbl ->
-      let lookup id =
-        match Hashtbl.find_opt tbl id with Some v -> v | None -> 0L
-      in
-      List.for_all (fun a -> Bv.eval lookup a = 1L) assertions)
-    t.models

@@ -38,12 +38,9 @@
     have: canonical-cache and store hits translate a canonical-space model
     through the current renaming, which is the fresh answer because
     bit-blasting is equivariant under α-renaming (identical CNF, identical
-    deterministic SAT run).  The one deliberately history-dependent rule —
-    screening stored models ({!Cexcache.screen}, the SAT-superset rule) —
-    is confined to the verdict-only {!is_sat} and never reaches {!check}.
-    Consequently caching may be disabled ([OVERIFY_SOLVER_CACHE=0] or
-    [create ~cache:false]) without changing any result: only the hit
-    counters and solve counts move. *)
+    deterministic SAT run).  Consequently caching may be disabled
+    ([OVERIFY_SOLVER_CACHE=0] or [create ~cache:false]) without changing
+    any result: only the hit counters and solve counts move. *)
 
 type result =
   | Unsat
@@ -66,17 +63,60 @@ type stats = {
   mutable hits_exact : int;     (** exact-match (ordered) cache hits *)
   mutable hits_canon : int;     (** per-component canonical cache hits *)
   mutable hits_subset : int;    (** UNSAT-subset rule hits *)
-  mutable hits_superset : int;
-      (** stored-model screening hits (verdict-only, {!is_sat}) *)
   mutable hits_store : int;     (** persistent cross-run store hits *)
 }
+
+let zero_stats () =
+  {
+    queries = 0;
+    cache_hits = 0;
+    sat_answers = 0;
+    unsat_answers = 0;
+    solver_time = 0.0;
+    components = 0;
+    component_solves = 0;
+    hits_exact = 0;
+    hits_canon = 0;
+    hits_subset = 0;
+    hits_store = 0;
+  }
+
+(* a left fold from zero, so a float total is bit-identical to any other
+   left fold over the same list *)
+let sum_stats (l : stats list) : stats =
+  List.fold_left
+    (fun a b ->
+      {
+        queries = a.queries + b.queries;
+        cache_hits = a.cache_hits + b.cache_hits;
+        sat_answers = a.sat_answers + b.sat_answers;
+        unsat_answers = a.unsat_answers + b.unsat_answers;
+        solver_time = a.solver_time +. b.solver_time;
+        components = a.components + b.components;
+        component_solves = a.component_solves + b.component_solves;
+        hits_exact = a.hits_exact + b.hits_exact;
+        hits_canon = a.hits_canon + b.hits_canon;
+        hits_subset = a.hits_subset + b.hits_subset;
+        hits_store = a.hits_store + b.hits_store;
+      })
+    (zero_stats ()) l
+
+let layer_counters =
+  [
+    ("components", fun s -> s.components);
+    ("component_solves", fun s -> s.component_solves);
+    ("hits_exact", fun s -> s.hits_exact);
+    ("hits_canon", fun s -> s.hits_canon);
+    ("hits_subset", fun s -> s.hits_subset);
+    ("hits_store", fun s -> s.hits_store);
+  ]
 
 (** One canonical component verdict; SAT models live in canonical variable
     space so α-equivalent components share the entry. *)
 type centry = C_unsat | C_sat of int64 array
 
 type ctx = {
-  stats : stats;
+  mutable stats : stats;
   cache : (int list, result) Hashtbl.t;
       (** exact-match cache: ordered term-id list -> result *)
   canon : Canon.ctx;  (** digest/variable-set memos *)
@@ -98,7 +138,7 @@ type ctx = {
           query (the serve daemon threads the request's token here so a
           past-deadline or watchdog-cancelled job stops before its next
           solve); also what an injected [stall@N] query blocks on *)
-  mutable hist : Overify_obs.Obs.Hist.t option;
+  hist : Overify_obs.Obs.Hist.t option;
       (** per-query blast+SAT latency histogram; observed only on real
           solves (queries answered from cache cost no solver time).
           [None] (the default) records nothing. *)
@@ -116,21 +156,7 @@ let env_cache_default () =
 
 let create ?deadline ?cancel ?hist ?cache ?store ?faults () =
   {
-    stats =
-      {
-        queries = 0;
-        cache_hits = 0;
-        sat_answers = 0;
-        unsat_answers = 0;
-        solver_time = 0.0;
-        components = 0;
-        component_solves = 0;
-        hits_exact = 0;
-        hits_canon = 0;
-        hits_subset = 0;
-        hits_superset = 0;
-        hits_store = 0;
-      };
+    stats = zero_stats ();
     cache = Hashtbl.create 1024;
     canon = Canon.create ();
     ctbl = Hashtbl.create 1024;
@@ -146,23 +172,10 @@ let create ?deadline ?cancel ?hist ?cache ?store ?faults () =
 
 let stats ctx = ctx.stats
 
-let reset_stats ctx =
-  let s = ctx.stats in
-  s.queries <- 0;
-  s.cache_hits <- 0;
-  s.sat_answers <- 0;
-  s.unsat_answers <- 0;
-  s.solver_time <- 0.0;
-  s.components <- 0;
-  s.component_solves <- 0;
-  s.hits_exact <- 0;
-  s.hits_canon <- 0;
-  s.hits_subset <- 0;
-  s.hits_superset <- 0;
-  s.hits_store <- 0
+let reset_stats ctx = ctx.stats <- zero_stats ()
 
 (** Drop {e every} acceleration layer this context owns: the exact-match
-    cache, the canonical component cache, the counterexample cache and the
+    cache, the canonical component cache, the UNSAT-subset index and the
     per-term canonicalization memos (the shared persistent store, if any,
     belongs to the run, not the context, and is untouched). *)
 let clear_cache ctx =
@@ -174,7 +187,6 @@ let clear_cache ctx =
 let set_deadline ctx d = ctx.deadline <- d
 let set_cancel ctx c = ctx.cancel <- c
 
-let set_hist ctx h = ctx.hist <- h
 let set_span ctx s = ctx.span <- s
 
 (** Charge one real (uncached) solve to the counters, the latency
@@ -379,34 +391,11 @@ let check (ctx : ctx) (assertions : Bv.t list) : result =
         if !fresh > 0 then charge_solve ctx t0 ~timed_out:false
         else stats.cache_hits <- stats.cache_hits + 1;
         (match r with
-        | Sat m ->
-            stats.sat_answers <- stats.sat_answers + 1;
-            if ctx.reuse && !fresh > 0 then Cexcache.note_model ctx.cex m
+        | Sat _ -> stats.sat_answers <- stats.sat_answers + 1
         | Unsat -> stats.unsat_answers <- stats.unsat_answers + 1);
         if ctx.reuse then Hashtbl.replace ctx.cache key r;
         r
   end
-
-(** Convenience: is the conjunction satisfiable?  Verdict-only, so this
-    entry point may additionally reuse stored models (the SAT-superset
-    rule): if a model recorded for any earlier query satisfies every
-    assertion here, the conjunction is SAT — no blasting at all.  The
-    verdict is sound and identical to [check]'s; only which counters move
-    depends on history, which is why the rule lives here and not in
-    [check]. *)
-let is_sat ctx assertions =
-  if
-    ctx.reuse && assertions <> []
-    && Cexcache.screen ctx.cex assertions
-  then begin
-    let s = ctx.stats in
-    s.queries <- s.queries + 1;
-    s.cache_hits <- s.cache_hits + 1;
-    s.hits_superset <- s.hits_superset + 1;
-    s.sat_answers <- s.sat_answers + 1;
-    true
-  end
-  else match check ctx assertions with Sat _ -> true | Unsat -> false
 
 (** Model lookup with default 0 (unconstrained variables may take any value;
     0 is what the model extraction produces for absent bits). *)

@@ -18,9 +18,7 @@
     Determinism contract: query answers — including the satisfying model —
     are a pure function of the assertion {e set}, never of cache history
     or assertion order, which is what lets parallel and sequential
-    exploration agree exactly on path witnesses, with caching on or off.
-    The single history-dependent rule (stored-model screening, the
-    SAT-superset rule) is confined to the verdict-only {!is_sat}. *)
+    exploration agree exactly on path witnesses, with caching on or off. *)
 
 type result =
   | Unsat
@@ -44,9 +42,20 @@ type stats = {
   mutable hits_exact : int;     (** exact-match (ordered) cache hits *)
   mutable hits_canon : int;     (** per-component canonical cache hits *)
   mutable hits_subset : int;    (** UNSAT-subset rule hits *)
-  mutable hits_superset : int;  (** model-screening hits ({!is_sat} only) *)
   mutable hits_store : int;     (** persistent cross-run store hits *)
 }
+(** The one declaration of the solver's effort counters: everything that
+    reports them (engine results, spans, the metric registry, the CLI and
+    profile output) reads these fields, summed with {!sum_stats}. *)
+
+val sum_stats : stats list -> stats
+(** Field-wise sum, as a fresh record (a left fold from zero). *)
+
+val layer_counters : (string * (stats -> int)) list
+(** The acceleration chain's counters by name, in chain order:
+    [components], [component_solves] and one [hits_<layer>] per reuse
+    layer.  The engine's registry flush (as ["solver.<name>"]) iterates
+    this list. *)
 
 type ctx
 (** Acceleration layers + stats counters + wall-clock deadline. *)
@@ -67,9 +76,11 @@ val create :
     past-deadline token makes the query raise
     {!Overify_fault.Cancel.Cancelled} before any other work.  [hist]
     receives the latency of every real (uncached) solve.  [cache] enables
-    the reuse layers (default: the [OVERIFY_SOLVER_CACHE] environment
-    variable, off only when ["0"]); disabling it never changes an answer —
-    canonicalization and partitioning still run, only reuse is skipped.
+    the reuse layers — the exact-match cache, the canonical component
+    cache and the UNSAT-subset index (default: the [OVERIFY_SOLVER_CACHE]
+    environment variable, off only when ["0"]); disabling it never
+    changes an answer — canonicalization and partitioning still run, only
+    reuse is skipped.
     [store] attaches a persistent cross-run store (shared across contexts;
     it locks internally); fresh results are published to it even with
     [cache:false].  [faults] attaches a fault-injection schedule: a
@@ -80,10 +91,10 @@ val create :
     has no way to cancel it). *)
 
 val stats : ctx -> stats
-val reset_stats : ctx -> unit
 
-val set_hist : ctx -> Overify_obs.Obs.Hist.t option -> unit
-(** Attach (or detach) the per-query latency histogram. *)
+val reset_stats : ctx -> unit
+(** Zero the counters by giving the context a fresh {!stats} record; a
+    record fetched earlier with {!stats} keeps its values. *)
 
 val set_span : ctx -> Overify_obs.Obs.Span.t option -> unit
 (** Attach (or detach) the parent span: every real (uncached) solve then
@@ -93,7 +104,7 @@ val set_span : ctx -> Overify_obs.Obs.Span.t option -> unit
 
 val clear_cache : ctx -> unit
 (** Drop {e every} acceleration layer this context owns — the exact-match
-    cache, the canonical component cache, the counterexample cache and the
+    cache, the canonical component cache, the UNSAT-subset index and the
     canonicalization memos.  Other contexts and the shared persistent
     store are unaffected. *)
 
@@ -106,11 +117,6 @@ val check : ctx -> Bv.t list -> result
 (** Satisfiability of the conjunction of width-1 terms, through the
     acceleration chain.  The result (verdict {e and} model) is a pure
     function of the assertion set. *)
-
-val is_sat : ctx -> Bv.t list -> bool
-(** Verdict-only satisfiability.  May additionally answer SAT by screening
-    stored models (the SAT-superset rule), which {!check} must not use —
-    the verdict is identical either way. *)
 
 val model_value : (int * int64) list -> int -> int64
 (** Look up a variable in a model; unconstrained variables read as 0. *)

@@ -136,16 +136,7 @@ type degradation = {
 type worker_stat = {
   w_instructions : int;
   w_forks : int;
-  w_queries : int;
-  w_cache_hits : int;
-  w_solver_time : float;
-  w_components : int;
-  w_component_solves : int;
-  w_hits_exact : int;
-  w_hits_canon : int;
-  w_hits_subset : int;
-  w_hits_superset : int;
-  w_hits_store : int;
+  w_solver : Solver.stats;
 }
 
 type result = {
@@ -161,7 +152,6 @@ type result = {
   hits_exact : int;             (** per-layer solver cache hits... *)
   hits_canon : int;
   hits_subset : int;
-  hits_superset : int;
   hits_store : int;             (** ...all sums over workers *)
   summary_instantiated : int;   (** call sites answered by a summary *)
   summary_opaque : int;         (** call sites whose summary was opaque *)
@@ -875,27 +865,20 @@ let run ?(config = default_config) (m : Ir.modul) : result =
         w.gctx.Executor.covered)
     workers;
   let sum f = List.fold_left (fun acc w -> acc + f w) 0 workers in
-  let sumf f = List.fold_left (fun acc w -> acc +. f w) 0.0 workers in
-  let solver_stats w = Solver.stats w.gctx.Executor.solver in
   let worker_stats =
     List.map
       (fun w ->
-        let s = solver_stats w in
         {
           w_instructions = w.gctx.Executor.insts_executed;
           w_forks = w.gctx.Executor.forks;
-          w_queries = s.Solver.queries;
-          w_cache_hits = s.Solver.cache_hits;
-          w_solver_time = s.Solver.solver_time;
-          w_components = s.Solver.components;
-          w_component_solves = s.Solver.component_solves;
-          w_hits_exact = s.Solver.hits_exact;
-          w_hits_canon = s.Solver.hits_canon;
-          w_hits_subset = s.Solver.hits_subset;
-          w_hits_superset = s.Solver.hits_superset;
-          w_hits_store = s.Solver.hits_store;
+          w_solver = Solver.stats w.gctx.Executor.solver;
         })
       workers
+  in
+  (* the one solver total: result fields, span counters and the registry
+     flush below all read it *)
+  let tot =
+    Solver.sum_stats (List.map (fun ws -> ws.w_solver) worker_stats)
   in
   (* close the per-worker spans with the very counters that define the
      result totals below, so per-span sums equal the engine's by
@@ -908,9 +891,9 @@ let run ?(config = default_config) (m : Ir.modul) : result =
             ~counters:
               [ ("instructions", float_of_int ws.w_instructions);
                 ("forks", float_of_int ws.w_forks);
-                ("queries", float_of_int ws.w_queries);
-                ("cache_hits", float_of_int ws.w_cache_hits);
-                ("solver_time", ws.w_solver_time);
+                ("queries", float_of_int ws.w_solver.Solver.queries);
+                ("cache_hits", float_of_int ws.w_solver.Solver.cache_hits);
+                ("solver_time", ws.w_solver.Solver.solver_time);
                 ("exits", float_of_int (List.length w.exits)) ]
       | None -> ())
     workers worker_stats;
@@ -925,16 +908,9 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     let flush name v =
       if v > 0 then Obs.Registry.add (Obs.Registry.counter name) v
     in
-    flush "solver.components" (sum (fun w -> (solver_stats w).Solver.components));
-    flush "solver.component_solves"
-      (sum (fun w -> (solver_stats w).Solver.component_solves));
-    flush "solver.hits.exact" (sum (fun w -> (solver_stats w).Solver.hits_exact));
-    flush "solver.hits.canon" (sum (fun w -> (solver_stats w).Solver.hits_canon));
-    flush "solver.hits.subset"
-      (sum (fun w -> (solver_stats w).Solver.hits_subset));
-    flush "solver.hits.superset"
-      (sum (fun w -> (solver_stats w).Solver.hits_superset));
-    flush "solver.hits.store" (sum (fun w -> (solver_stats w).Solver.hits_store));
+    List.iter
+      (fun (name, get) -> flush ("solver." ^ name) (get tot))
+      Solver.layer_counters;
     flush "summary.instantiated" (sum (fun w -> w.gctx.Executor.sum_hits));
     flush "summary.opaque" (sum (fun w -> w.gctx.Executor.sum_opaque));
     flush "summary.computed" summary_computed;
@@ -994,10 +970,8 @@ let run ?(config = default_config) (m : Ir.modul) : result =
             ("instructions",
              float_of_int (sum (fun w -> w.gctx.Executor.insts_executed)));
             ("forks", float_of_int (sum (fun w -> w.gctx.Executor.forks)));
-            ("queries",
-             float_of_int (sum (fun w -> (solver_stats w).Solver.queries)));
-            ("solver_time",
-             sumf (fun w -> (solver_stats w).Solver.solver_time)) ]
+            ("queries", float_of_int tot.Solver.queries);
+            ("solver_time", tot.Solver.solver_time) ]
   | None -> ());
   if Obs.Trace.enabled () then
     Obs.Trace.emit ~cat:"symex" ~name:"engine.run"
@@ -1017,17 +991,15 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     bugs;
     instructions = sum (fun w -> w.gctx.Executor.insts_executed);
     forks = sum (fun w -> w.gctx.Executor.forks);
-    queries = sum (fun w -> (solver_stats w).Solver.queries);
-    cache_hits = sum (fun w -> (solver_stats w).Solver.cache_hits);
-    solver_time = sumf (fun w -> (solver_stats w).Solver.solver_time);
-    components = sum (fun w -> (solver_stats w).Solver.components);
-    component_solves =
-      sum (fun w -> (solver_stats w).Solver.component_solves);
-    hits_exact = sum (fun w -> (solver_stats w).Solver.hits_exact);
-    hits_canon = sum (fun w -> (solver_stats w).Solver.hits_canon);
-    hits_subset = sum (fun w -> (solver_stats w).Solver.hits_subset);
-    hits_superset = sum (fun w -> (solver_stats w).Solver.hits_superset);
-    hits_store = sum (fun w -> (solver_stats w).Solver.hits_store);
+    queries = tot.Solver.queries;
+    cache_hits = tot.Solver.cache_hits;
+    solver_time = tot.Solver.solver_time;
+    components = tot.Solver.components;
+    component_solves = tot.Solver.component_solves;
+    hits_exact = tot.Solver.hits_exact;
+    hits_canon = tot.Solver.hits_canon;
+    hits_subset = tot.Solver.hits_subset;
+    hits_store = tot.Solver.hits_store;
     summary_instantiated = sum (fun w -> w.gctx.Executor.sum_hits);
     summary_opaque = sum (fun w -> w.gctx.Executor.sum_opaque);
     summary_computed;
@@ -1059,6 +1031,32 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     worker_stats;
     profile;
   }
+
+(** The human-readable run summary of [overify verify] and the profile
+    report: the solver line, a summaries line when any summary counter
+    moved, and one line per degradation.  [gap] adds an empty line after
+    the solver line (the profile report's layout). *)
+let print_summary ?(gap = false) oc (r : result) =
+  Printf.fprintf oc
+    "solver: components=%d solves=%d hits: exact=%d canon=%d subset=%d \
+     store=%d\n%s"
+    r.components r.component_solves r.hits_exact r.hits_canon r.hits_subset
+    r.hits_store
+    (if gap then "\n" else "");
+  if
+    r.summary_instantiated + r.summary_opaque + r.summary_computed
+    + r.summary_cached
+    > 0
+  then
+    Printf.fprintf oc
+      "summaries: instantiated=%d opaque=%d computed=%d cached=%d\n"
+      r.summary_instantiated r.summary_opaque r.summary_computed
+      r.summary_cached;
+  List.iter
+    (fun d ->
+      Printf.fprintf oc "degraded: %s paths=%d%s\n" d.d_kind d.d_paths
+        (if d.d_where = "" then "" else " (" ^ d.d_where ^ ")"))
+    r.degradations
 
 (* ---------------- structured JSON ---------------- *)
 

@@ -123,18 +123,9 @@ type degradation = {
 type worker_stat = {
   w_instructions : int;
   w_forks : int;
-  w_queries : int;
-  w_cache_hits : int;
-  w_solver_time : float;
-  w_components : int;
-  w_component_solves : int;
-  w_hits_exact : int;       (** per-layer solver cache hits (see
-                                [Solver.stats]); the result's layer
-                                totals are their sums *)
-  w_hits_canon : int;
-  w_hits_subset : int;
-  w_hits_superset : int;
-  w_hits_store : int;
+  w_solver : Overify_solver.Solver.stats;
+      (** this worker's solver counters; the result's solver totals are
+          their {!Overify_solver.Solver.sum_stats} *)
 }
 
 type result = {
@@ -152,7 +143,6 @@ type result = {
   hits_exact : int;      (** solver cache hits per layer: exact-match, *)
   hits_canon : int;      (** canonical component cache, *)
   hits_subset : int;     (** UNSAT-subset rule, *)
-  hits_superset : int;   (** stored-model screening, *)
   hits_store : int;      (** and the persistent cross-run store *)
   summary_instantiated : int;
       (** call sites answered by instantiating a function summary *)
@@ -206,6 +196,13 @@ val run : ?config:config -> Overify_ir.Ir.modul -> result
     escape are {!Overify_fault.Fault.Killed} (simulated process death —
     resume from the checkpoint), [Out_of_memory], [Stack_overflow] and
     setup errors ([Invalid_argument] for a module without [main]). *)
+
+val print_summary : ?gap:bool -> out_channel -> result -> unit
+(** The human-readable run summary shared by [overify verify] and the
+    profile report: a [solver:] line of per-layer counters, a
+    [summaries:] line when any summary counter is nonzero, and one
+    [degraded:] line per degradation.  [gap] adds an empty line after the
+    [solver:] line. *)
 
 val result_to_json : ?deterministic:bool -> result -> string
 (** Machine-readable result (fixed key order, goldenable), including the

@@ -72,7 +72,6 @@ let volatile_keys =
     "\"hits_exact\": ";
     "\"hits_canon\": ";
     "\"hits_subset\": ";
-    "\"hits_superset\": ";
     "\"hits_store\": ";
   ]
 

@@ -15,6 +15,8 @@ module Costmodel = Overify_opt.Costmodel
 module Pipeline = Overify_opt.Pipeline
 module Programs = Overify_corpus.Programs
 module Vclib = Overify_vclib.Vclib
+module Solver = Overify_solver.Solver
+module Obs = Overify_obs.Obs
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -152,6 +154,16 @@ let test_parallel_one_worker () =
 
 (* ------------- per-worker stats aggregation ------------- *)
 
+(* run [f] with the metric registry on and empty, so the engine's
+   per-layer solver flush is the only thing in it *)
+let with_registry f =
+  let was = Obs.enabled () in
+  Obs.Registry.clear ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) f
+
+let registry_count name = (Obs.Registry.counter name).Obs.Registry.count
+
 (* the reported totals are defined as the sum of the per-worker solver and
    executor counters; [result.worker_stats] exposes exactly those per-worker
    values, so the sums must agree — exactly, including solver_time, since
@@ -159,7 +171,12 @@ let test_parallel_one_worker () =
 let sum_stats f (stats : Engine.worker_stat list) =
   List.fold_left (fun acc w -> acc + f w) 0 stats
 
-let assert_worker_stats_sum name (r : Engine.result) =
+(* explore [m] with the registry collecting, then check every total *)
+let explore_summed name searcher ~input_size m =
+  let r = with_registry (fun () -> explore searcher ~input_size m) in
+  let solver get =
+    sum_stats (fun w -> get w.Engine.w_solver) r.Engine.worker_stats
+  in
   check int
     (name ^ ": instructions = sum of workers")
     r.Engine.instructions
@@ -171,56 +188,44 @@ let assert_worker_stats_sum name (r : Engine.result) =
   check int
     (name ^ ": queries = sum of workers")
     r.Engine.queries
-    (sum_stats (fun w -> w.Engine.w_queries) r.Engine.worker_stats);
+    (solver (fun s -> s.Solver.queries));
   check int
     (name ^ ": cache_hits = sum of workers")
     r.Engine.cache_hits
-    (sum_stats (fun w -> w.Engine.w_cache_hits) r.Engine.worker_stats);
+    (solver (fun s -> s.Solver.cache_hits));
   (* the solver acceleration layers report per-worker too; their totals
-     are the same sums *)
+     are the same sums, read back from the metric registry the engine
+     flushes them to under their [Solver.layer_counters] names *)
   List.iter
-    (fun (what, total, get) ->
+    (fun (what, get) ->
       check int
         (Printf.sprintf "%s: %s = sum of workers" name what)
-        total
-        (sum_stats get r.Engine.worker_stats))
-    [
-      ("components", r.Engine.components, fun w -> w.Engine.w_components);
-      ( "component_solves",
-        r.Engine.component_solves,
-        fun w -> w.Engine.w_component_solves );
-      ("hits_exact", r.Engine.hits_exact, fun w -> w.Engine.w_hits_exact);
-      ("hits_canon", r.Engine.hits_canon, fun w -> w.Engine.w_hits_canon);
-      ("hits_subset", r.Engine.hits_subset, fun w -> w.Engine.w_hits_subset);
-      ( "hits_superset",
-        r.Engine.hits_superset,
-        fun w -> w.Engine.w_hits_superset );
-      ("hits_store", r.Engine.hits_store, fun w -> w.Engine.w_hits_store);
-    ];
+        (registry_count ("solver." ^ what))
+        (solver get))
+    Solver.layer_counters;
   let t =
     List.fold_left
-      (fun acc (w : Engine.worker_stat) -> acc +. w.Engine.w_solver_time)
+      (fun acc (w : Engine.worker_stat) ->
+        acc +. w.Engine.w_solver.Solver.solver_time)
       0.0 r.Engine.worker_stats
   in
   if t <> r.Engine.solver_time then
     Alcotest.failf "%s: solver_time %.9f <> worker sum %.9f" name
-      r.Engine.solver_time t
+      r.Engine.solver_time t;
+  r
 
 let test_worker_stats_sum () =
   let m = compile_src buggy_src in
-  let par = explore (`Parallel jobs) ~input_size:2 m in
+  let par = explore_summed "parallel" (`Parallel jobs) ~input_size:2 m in
   check int "one stat row per worker" jobs
     (List.length par.Engine.worker_stats);
-  assert_worker_stats_sum "parallel" par;
   (* sequential searchers report the same shape with a single row *)
-  let dfs = explore `Dfs ~input_size:2 m in
+  let dfs = explore_summed "dfs" `Dfs ~input_size:2 m in
   check int "sequential run has one worker row" 1
     (List.length dfs.Engine.worker_stats);
-  assert_worker_stats_sum "dfs" dfs;
   (* and a corpus program, for counters big enough to catch double counting *)
   let wc = compile (Option.get (Programs.find "wc")) in
-  let r = explore (`Parallel jobs) ~input_size:3 wc in
-  assert_worker_stats_sum "wc" r
+  ignore (explore_summed "wc" (`Parallel jobs) ~input_size:3 wc)
 
 (* budgets are enforced globally: a tiny path budget stops a parallel run
    and marks it incomplete, same as sequential *)

@@ -48,19 +48,31 @@ let get_raw json key =
   | Some v -> v
   | None -> Alcotest.failf "field %S missing in %s" key json
 
-let daemon_stat d name =
+let metrics_rpc ?(format = "") d =
   with_conn d @@ fun c ->
   match
     Client.rpc c
-      { Protocol.default_request with Protocol.rq_kind = Protocol.Stats }
+      {
+        Protocol.default_request with
+        Protocol.rq_kind = Protocol.Metrics;
+        rq_format = format;
+      }
   with
-  | Ok json -> (
-      let result = get_raw json "result" in
-      match Json.parse result with
-      | Ok j -> Option.value ~default:(-1) (Option.bind (Json.mem j name) Json.int_)
-      | Error e -> Alcotest.failf "stats result unparseable (%s): %s" e result)
-  | Error e ->
-      Alcotest.failf "stats rpc failed: %s" (Protocol.frame_error_name e)
+  | Error e -> Alcotest.failf "metrics rpc: %s" (Protocol.frame_error_name e)
+  | Ok json ->
+      check string "metrics op ok" "ok" (get_str json "status");
+      get_raw json "result"
+
+(* one integer counter of the daemon's metrics document; a missing key
+   fails the test rather than reading as 0 *)
+let daemon_stat d name =
+  let result = metrics_rpc d in
+  match Json.parse result with
+  | Ok j -> (
+      match Option.bind (Json.mem j name) Json.int_ with
+      | Some v -> v
+      | None -> Alcotest.failf "metrics has no integer counter %S: %s" name result)
+  | Error e -> Alcotest.failf "metrics result unparseable (%s): %s" e result
 
 (* ------------- Json: parse/print ------------- *)
 
@@ -117,7 +129,7 @@ let request_gen : Protocol.request QCheck.Gen.t =
   let* rq_id = int_bound 1_000_000 in
   let* rq_kind =
     oneofl [ Protocol.Verify; Protocol.Compile; Protocol.Tv;
-             Protocol.Stats; Protocol.Metrics; Protocol.Shutdown ]
+             Protocol.Metrics; Protocol.Shutdown ]
   in
   let* rq_program = any_string in
   let* rq_source = any_string in
@@ -198,6 +210,7 @@ let test_request_rejects () =
   expect_err "not an object" "[1]";
   expect_err "missing kind" "{\"program\": \"wc\"}";
   expect_err "unknown kind" "{\"kind\": \"frobnicate\"}";
+  expect_err "unknown kind (retired stats op)" "{\"kind\": \"stats\"}";
   expect_err "unknown field" "{\"kind\": \"verify\", \"frob\": 1}";
   expect_err "bad type" "{\"kind\": \"verify\", \"input_size\": \"four\"}";
   expect_err "size range" "{\"kind\": \"verify\", \"input_size\": 65}";
@@ -573,21 +586,6 @@ let with_temp_dir f =
 
 module Flight = Overify_serve.Flight
 
-let metrics_rpc ?(format = "") d =
-  with_conn d @@ fun c ->
-  match
-    Client.rpc c
-      {
-        Protocol.default_request with
-        Protocol.rq_kind = Protocol.Metrics;
-        rq_format = format;
-      }
-  with
-  | Error e -> Alcotest.failf "metrics rpc: %s" (Protocol.frame_error_name e)
-  | Ok json ->
-      check string "metrics op ok" "ok" (get_str json "status");
-      get_raw json "result"
-
 let test_metrics_golden_keys () =
   with_daemon @@ fun d ->
   (with_conn d @@ fun c -> ignore (Client.rpc c wc_request));
@@ -598,7 +596,8 @@ let test_metrics_golden_keys () =
      requests above pin executed / dedup / latency-count cells *)
   golden_walk result
     [
-      "{"; "\"uptime_s\":"; "\"queue_depth\":"; "\"requests\":";
+      "{"; "\"uptime_s\":"; "\"queue_depth\":"; "\"inflight\": 0";
+      "\"requests\":";
       "\"executed\": 1"; "\"dedup_inflight\":"; "\"dedup_recent\":";
       "\"dedup_hits\": 1"; "\"malformed\": 0"; "\"errors\": 0";
       "\"requests_shed\": 0"; "\"cancelled\": 0";
@@ -1099,7 +1098,8 @@ let test_trace_replay_healthy () =
   check int "every entry answered" s.Hserve.s_requests
     (s.Hserve.s_ok + s.Hserve.s_errors);
   check int "no transport failures" 0 s.Hserve.s_transport_failures;
-  check bool "dedup hits observed" true (Hserve.stat s "dedup_hits" > 0);
+  check bool "dedup hits observed" true
+    (Hserve.counter s.Hserve.s_metrics_json "dedup_hits" > 0);
   check bool "malformed entries answered as errors" true (s.Hserve.s_errors > 0)
 
 let test_shutdown_drains_inflight () =

@@ -387,7 +387,7 @@ let gen_assertions rng =
 (* verdict by direct blast+SAT of the conjunction — no reuse layers, no
    normalization, no partitioning (only the same constant pruning
    [Solver.check] applies first) *)
-let reference_is_sat (assertions : Bv.t list) : bool =
+let reference_sat (assertions : Bv.t list) : bool =
   let live =
     List.filter (fun (t : Bv.t) -> t.Bv.node <> Bv.Const 1L) assertions
   in
@@ -408,7 +408,7 @@ let test_differential_oracle () =
   let warm = Solver.create ~cache:true () in
   for i = 1 to 2_000 do
     let assertions = gen_assertions rng in
-    let expected = reference_is_sat assertions in
+    let expected = reference_sat assertions in
     let run name ctx =
       match Solver.check ctx assertions with
       | Solver.Unsat ->
@@ -475,10 +475,10 @@ let prop_partition_is_partition =
    assertion set before reporting. *)
 let test_partition_vs_conjunction () =
   let mismatch assertions =
-    let whole = reference_is_sat assertions in
+    let whole = reference_sat assertions in
     let cctx = Canon.create () in
     let comps = Canon.partition cctx (Canon.normalize cctx assertions) in
-    let piecewise = List.for_all reference_is_sat comps in
+    let piecewise = List.for_all reference_sat comps in
     whole <> piecewise
   in
   let shrink assertions =
@@ -506,7 +506,7 @@ let test_partition_vs_conjunction () =
     end
   done
 
-(* ------------- cache semantics: subset/superset rules ------------- *)
+(* ------------- cache semantics: the UNSAT-subset rule ------------- *)
 
 (* a recorded UNSAT core proves any superset UNSAT without blasting *)
 let test_unsat_subset_rule () =
@@ -528,24 +528,7 @@ let test_unsat_subset_rule () =
     (Solver.stats ctx).Solver.component_solves;
   check int "counted as a cache hit" 1 (Solver.stats ctx).Solver.cache_hits
 
-(* a stored model screens weaker SAT queries in the verdict-only is_sat:
-   every unsigned value > 100 is also > 50, so the model recorded for the
-   first query must satisfy the second *)
-let test_sat_superset_screening () =
-  let ctx = Solver.create ~cache:true () in
-  let x = Bv.var 8 701 in
-  (match Solver.check ctx [ Bv.cmp Bv.Ugt x (Bv.const 8 100L) ] with
-  | Solver.Sat _ -> ()
-  | Solver.Unsat -> Alcotest.fail "x>100 is sat");
-  let solves = (Solver.stats ctx).Solver.component_solves in
-  check bool "weaker query screened to SAT" true
-    (Solver.is_sat ctx [ Bv.cmp Bv.Ugt x (Bv.const 8 50L) ]);
-  check int "answered by stored-model screening" 1
-    (Solver.stats ctx).Solver.hits_superset;
-  check int "no new blast+SAT" solves
-    (Solver.stats ctx).Solver.component_solves
-
-(* clear_cache must drop EVERY layer: exact, canonical, counterexample *)
+(* clear_cache must drop EVERY layer: exact, canonical, UNSAT-subset *)
 let test_clear_cache_all_layers () =
   let ctx = Solver.create ~cache:true () in
   let x = Bv.var 8 702 in
@@ -688,8 +671,6 @@ let () =
           Alcotest.test_case "partition vs conjunction (with shrinker)"
             `Quick test_partition_vs_conjunction;
           Alcotest.test_case "UNSAT-subset rule" `Quick test_unsat_subset_rule;
-          Alcotest.test_case "SAT stored-model screening" `Quick
-            test_sat_superset_screening;
           Alcotest.test_case "clear_cache drops every layer" `Quick
             test_clear_cache_all_layers;
         ] );
